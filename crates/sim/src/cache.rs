@@ -158,9 +158,16 @@ const TAG_NIC: u64 = 1 << 2;
 const TAG_FLAG_BITS: u32 = 3;
 
 fn encode_tag(block: BlockAddr, dirty: bool, origin: LineOrigin) -> u64 {
-    debug_assert!(block.0 < 1 << (64 - TAG_FLAG_BITS), "block address too large to pack");
+    debug_assert!(
+        block.0 < 1 << (64 - TAG_FLAG_BITS),
+        "block address too large to pack"
+    );
     (block.0 << TAG_FLAG_BITS)
-        | (if origin == LineOrigin::Nic { TAG_NIC } else { 0 })
+        | (if origin == LineOrigin::Nic {
+            TAG_NIC
+        } else {
+            0
+        })
         | (if dirty { TAG_DIRTY } else { 0 })
         | TAG_PRESENT
 }
@@ -181,15 +188,33 @@ fn tag_matches(tag: u64, block: BlockAddr) -> bool {
     tag & TAG_PRESENT != 0 && tag >> TAG_FLAG_BITS == block.0
 }
 
+/// `u64` words per host cache line; set records are whole lines.
+const LINE_WORDS: usize = 8;
+
+/// SRRIP re-reference predictions: inserted lines start at `SRRIP_INSERT`,
+/// hits promote to 0, and `SRRIP_DISTANT` marks a victim.
+const SRRIP_INSERT: u8 = 2;
+const SRRIP_DISTANT: u8 = 3;
+
 /// A single set-associative cache level with LRU replacement.
 ///
-/// Internally a structure-of-arrays: the packed [`encode_tag`] words carry
-/// everything a residency scan needs, and the recency stamps
-/// (`tick << 2 | rrpv`) live in a parallel array that is only touched on a
-/// hit, an insertion, or victim selection. Because every mutation bumps the
-/// monotone tick, stamps of occupied ways are unique and comparing the
-/// combined word orders ways exactly like comparing the old per-slot `lru`
-/// field did.
+/// Each set is one record of whole host cache lines, 64-byte aligned, so a
+/// probe touches only that set's lines (two for the 12-way LLC, three for a
+/// 20-way L2):
+///
+/// ```text
+/// words 0..ways     packed tag words (see `encode_tag`)
+/// next ways bytes   one replacement byte per way
+/// next byte         the set's LRU clock
+/// ```
+///
+/// Under LRU a way's byte is the set clock at the way's last touch. Before
+/// the clock would pass 255 the set's bytes are renumbered `1..=ways` in
+/// their current order, so victim selection — which only compares occupied
+/// ways, each stamped at its last touch — picks the way a global tick
+/// would. Under SRRIP the byte is the way's rrpv. An all-zero record is an
+/// empty set, so the table is a zero-filled allocation whose pages the OS
+/// maps only when a set is first touched.
 ///
 /// ```
 /// use sweeper_sim::cache::{CacheGeometry, LineOrigin, SetAssocCache, WayMask};
@@ -204,15 +229,12 @@ fn tag_matches(tag: u64, block: BlockAddr) -> bool {
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     sets: usize,
-    tags: Vec<u64>,   // sets * ways, row-major by set; 0 = empty way
-    stamps: Vec<u64>, // parallel to `tags`: tick << 2 | rrpv
-    tick: u64,
+    record_words: usize,
+    base: usize,     // index of set 0's record in `words` (64-byte aligned, except in clones)
+    words: Vec<u64>, // zero-filled; `sets` records from `base` on
     resident: u64,
     policy: ReplacementPolicy,
 }
-
-const STAMP_RRPV_BITS: u32 = 2;
-const STAMP_RRPV_MASK: u64 = (1 << STAMP_RRPV_BITS) - 1;
 
 impl SetAssocCache {
     /// Builds an empty cache with the given geometry.
@@ -236,12 +258,17 @@ impl SetAssocCache {
             "associativity must be in 1..=64"
         );
         let sets = geometry.sets();
+        let ways = geometry.ways;
+        let record_words = (ways + (ways + 1).div_ceil(8)).next_multiple_of(LINE_WORDS);
+        // One spare line of slack lets set 0 start on a line boundary.
+        let words = vec![0u64; sets * record_words + LINE_WORDS - 1];
+        let base = (words.as_ptr() as usize).wrapping_neg() % 64 / 8;
         Self {
             geometry,
             sets,
-            tags: vec![0; sets * geometry.ways],
-            stamps: vec![3; sets * geometry.ways],
-            tick: 0,
+            record_words,
+            base,
+            words,
             resident: 0,
             policy,
         }
@@ -273,17 +300,73 @@ impl SetAssocCache {
         ((h >> 32) % self.sets as u64) as usize
     }
 
-    fn slot_range(&self, set: usize) -> std::ops::Range<usize> {
-        let base = set * self.geometry.ways;
-        base..base + self.geometry.ways
+    /// Index of the first word of `block`'s set record.
+    #[inline]
+    fn record_of(&self, block: BlockAddr) -> usize {
+        self.base + self.set_of(block) * self.record_words
     }
 
-    fn bump(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    fn tags(&self, rec: usize) -> &[u64] {
+        &self.words[rec..rec + self.geometry.ways]
     }
 
-    /// Hints the host CPU to pull the block's set metadata into cache.
+    /// Replacement byte `k` of the record at `rec`; `k == ways` is the clock.
+    #[inline]
+    fn byte(&self, rec: usize, k: usize) -> u8 {
+        (self.words[rec + self.geometry.ways + k / 8] >> (k % 8 * 8)) as u8
+    }
+
+    #[inline]
+    fn set_byte(&mut self, rec: usize, k: usize, v: u8) {
+        let shift = k % 8 * 8;
+        let w = &mut self.words[rec + self.geometry.ways + k / 8];
+        *w = *w & !(0xFF << shift) | u64::from(v) << shift;
+    }
+
+    /// Makes `way` the set's most recently used way.
+    fn touch(&mut self, rec: usize, way: usize) {
+        let ways = self.geometry.ways;
+        let mut clock = self.byte(rec, ways);
+        if clock == u8::MAX {
+            self.renumber(rec);
+            clock = ways as u8;
+        }
+        clock += 1;
+        self.set_byte(rec, ways, clock);
+        self.set_byte(rec, way, clock);
+    }
+
+    /// Rewrites the set's LRU bytes as `1..=ways` in their current order
+    /// (ties, which only stale bytes of empty ways can have, by way index).
+    fn renumber(&mut self, rec: usize) {
+        let ways = self.geometry.ways;
+        let mut old = [0u8; 64];
+        for (w, b) in old.iter_mut().enumerate().take(ways) {
+            *b = self.byte(rec, w);
+        }
+        for w in 0..ways {
+            let rank = (0..ways).filter(|&v| (old[v], v) < (old[w], w)).count();
+            self.set_byte(rec, w, rank as u8 + 1);
+        }
+    }
+
+    /// Replacement update for a hit on `way`.
+    fn promote(&mut self, rec: usize, way: usize) {
+        match self.policy {
+            ReplacementPolicy::Lru => self.touch(rec, way),
+            ReplacementPolicy::Srrip => self.set_byte(rec, way, 0),
+        }
+    }
+
+    /// Replacement update for a line just placed in `way`.
+    fn place(&mut self, rec: usize, way: usize) {
+        match self.policy {
+            ReplacementPolicy::Lru => self.touch(rec, way),
+            ReplacementPolicy::Srrip => self.set_byte(rec, way, SRRIP_INSERT),
+        }
+    }
+
+    /// Hints the host CPU to pull the block's set record into cache.
     ///
     /// The simulator's tag tables are tens of megabytes probed at
     /// hash-randomized indices, so nearly every set probe is a host
@@ -293,26 +376,23 @@ impl SetAssocCache {
     /// of misses. Purely a performance hint: no simulated state changes.
     #[inline]
     pub fn prefetch(&self, block: BlockAddr) {
-        let set = self.set_of(block);
-        let base = set * self.geometry.ways;
+        let rec = self.record_of(block);
         #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.tags.as_ptr().add(base).cast::<i8>(), _MM_HINT_T0);
-            // A 20-way set spans three cache lines of tags; grab the tail too.
-            let last = base + self.geometry.ways - 1;
-            _mm_prefetch(self.tags.as_ptr().add(last).cast::<i8>(), _MM_HINT_T0);
-            _mm_prefetch(self.stamps.as_ptr().add(base).cast::<i8>(), _MM_HINT_T0);
-            _mm_prefetch(self.stamps.as_ptr().add(last).cast::<i8>(), _MM_HINT_T0);
+        for line in self.words[rec..rec + self.record_words].chunks(LINE_WORDS) {
+            // SAFETY: `_mm_prefetch` is a hint that never faults, and the
+            // pointer comes from a live slice of this table.
+            unsafe {
+                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                _mm_prefetch(line.as_ptr().cast::<i8>(), _MM_HINT_T0);
+            }
         }
         #[cfg(not(target_arch = "x86_64"))]
-        let _ = base;
+        let _ = rec;
     }
 
     /// Looks a block up without updating recency.
     pub fn peek(&self, block: BlockAddr) -> Option<Line> {
-        let set = self.set_of(block);
-        self.tags[self.slot_range(set)]
+        self.tags(self.record_of(block))
             .iter()
             .find(|&&t| tag_matches(t, block))
             .map(|&t| decode_tag(t))
@@ -320,30 +400,22 @@ impl SetAssocCache {
 
     /// Looks a block up and updates LRU recency; returns the line metadata.
     pub fn lookup(&mut self, block: BlockAddr) -> Option<Line> {
-        let set = self.set_of(block);
-        let tick = self.bump();
-        let range = self.slot_range(set);
-        for idx in range {
-            let tag = self.tags[idx];
-            if tag_matches(tag, block) {
-                self.stamps[idx] = tick << STAMP_RRPV_BITS; // rrpv -> 0
-                return Some(decode_tag(tag));
-            }
-        }
-        None
+        let rec = self.record_of(block);
+        let way = self.tags(rec).iter().position(|&t| tag_matches(t, block))?;
+        self.promote(rec, way);
+        Some(decode_tag(self.words[rec + way]))
     }
 
     /// Marks a resident block dirty; returns `true` if the block was found.
     pub fn mark_dirty(&mut self, block: BlockAddr) -> bool {
-        let set = self.set_of(block);
-        let range = self.slot_range(set);
-        for idx in range {
-            if tag_matches(self.tags[idx], block) {
-                self.tags[idx] |= TAG_DIRTY;
-                return true;
+        let rec = self.record_of(block);
+        match self.tags(rec).iter().position(|&t| tag_matches(t, block)) {
+            Some(way) => {
+                self.words[rec + way] |= TAG_DIRTY;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Inserts (or updates in place) a block, allocating only within `mask`.
@@ -362,100 +434,75 @@ impl SetAssocCache {
         origin: LineOrigin,
         mask: WayMask,
     ) -> Option<Evicted> {
-        assert!(
-            mask.count_in(self.geometry.ways) > 0,
-            "insertion mask allows no ways"
-        );
-        let set = self.set_of(block);
-        let tick = self.bump();
-        let range = self.slot_range(set);
-        let insert_rrpv: u64 = match self.policy {
-            ReplacementPolicy::Lru => 0,
-            ReplacementPolicy::Srrip => 2,
-        };
+        let ways = self.geometry.ways;
+        assert!(mask.count_in(ways) > 0, "insertion mask allows no ways");
+        let rec = self.record_of(block);
 
         // First pass over the packed tags only: a residency hit (checked in
         // *every* way, masked or not) and the first free allowed way. The
-        // stamps are not touched unless the set turns out to be full.
-        let mut free_idx = None;
-        for (w, idx) in range.clone().enumerate() {
-            let tag = self.tags[idx];
+        // replacement bytes are not read unless the set turns out to be full.
+        let mut free_way = None;
+        for (w, &tag) in self.tags(rec).iter().enumerate() {
             if tag_matches(tag, block) {
                 // Hit: update in place regardless of mask (dirty OR-ed,
                 // origin overwritten).
-                self.tags[idx] = encode_tag(block, dirty || tag & TAG_DIRTY != 0, origin);
-                self.stamps[idx] = tick << STAMP_RRPV_BITS; // rrpv -> 0
+                self.words[rec + w] = encode_tag(block, dirty || tag & TAG_DIRTY != 0, origin);
+                self.promote(rec, w);
                 return None;
             }
-            if tag & TAG_PRESENT == 0 && free_idx.is_none() && mask.allows(w) {
-                free_idx = Some(idx);
+            if tag & TAG_PRESENT == 0 && free_way.is_none() && mask.allows(w) {
+                free_way = Some(w);
             }
         }
 
-        if let Some(idx) = free_idx {
-            self.tags[idx] = encode_tag(block, dirty, origin);
-            self.stamps[idx] = tick << STAMP_RRPV_BITS | insert_rrpv;
+        if let Some(w) = free_way {
+            self.words[rec + w] = encode_tag(block, dirty, origin);
+            self.place(rec, w);
             self.resident += 1;
             return None;
         }
 
         // Set full within the mask: evict per the replacement policy. Every
-        // allowed way is occupied here (the free scan covered them all), and
-        // occupied ways carry unique ticks, so comparing the combined
-        // `tick << 2 | rrpv` stamps picks the same victim (with the same
-        // first-way tie-break) as comparing ticks alone.
-        let victim_idx = match self.policy {
-            ReplacementPolicy::Lru => {
-                let mut lru_idx = None;
-                let mut lru_min = u64::MAX;
-                for (w, idx) in range.clone().enumerate() {
-                    if mask.allows(w) && self.stamps[idx] < lru_min {
-                        lru_min = self.stamps[idx];
-                        lru_idx = Some(idx);
-                    }
-                }
-                lru_idx.expect("mask allows at least one way")
-            }
+        // allowed way is occupied here (the free scan covered them all).
+        let victim = match self.policy {
+            // Occupied ways carry distinct LRU bytes, so the first minimum
+            // is the only one.
+            ReplacementPolicy::Lru => (0..ways)
+                .filter(|&w| mask.allows(w))
+                .min_by_key(|&w| self.byte(rec, w))
+                .expect("mask allows at least one way"),
             ReplacementPolicy::Srrip => loop {
-                let distant = range
-                    .clone()
-                    .enumerate()
-                    .filter(|(w, _)| mask.allows(*w))
-                    .find(|(_, idx)| self.stamps[*idx] & STAMP_RRPV_MASK >= 3)
-                    .map(|(_, idx)| idx);
-                if let Some(idx) = distant {
-                    break idx;
+                let distant = (0..ways)
+                    .filter(|&w| mask.allows(w))
+                    .find(|&w| self.byte(rec, w) >= SRRIP_DISTANT);
+                if let Some(w) = distant {
+                    break w;
                 }
                 // No distant line yet: age every allowed way and rescan.
-                // Aging only runs when every allowed rrpv is <= 2, so the
-                // 2-bit field cannot overflow.
-                for (w, idx) in range.clone().enumerate() {
-                    if mask.allows(w) {
-                        self.stamps[idx] += 1;
-                    }
+                // Aging only runs when every allowed rrpv is below distant,
+                // so the rrpv never exceeds it.
+                for w in (0..ways).filter(|&w| mask.allows(w)) {
+                    let rrpv = self.byte(rec, w);
+                    self.set_byte(rec, w, rrpv + 1);
                 }
             },
         };
-        let old = decode_tag(self.tags[victim_idx]);
-        debug_assert!(self.tags[victim_idx] & TAG_PRESENT != 0, "victim way was occupied");
-        self.tags[victim_idx] = encode_tag(block, dirty, origin);
-        self.stamps[victim_idx] = tick << STAMP_RRPV_BITS | insert_rrpv;
-        Some(Evicted { line: old })
+        let old = self.words[rec + victim];
+        debug_assert!(old & TAG_PRESENT != 0, "victim way was occupied");
+        self.words[rec + victim] = encode_tag(block, dirty, origin);
+        self.place(rec, victim);
+        Some(Evicted {
+            line: decode_tag(old),
+        })
     }
 
     /// Removes a block; returns its metadata if it was resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<Line> {
-        let set = self.set_of(block);
-        let range = self.slot_range(set);
-        for idx in range {
-            let tag = self.tags[idx];
-            if tag_matches(tag, block) {
-                self.tags[idx] = 0;
-                self.resident -= 1;
-                return Some(decode_tag(tag));
-            }
-        }
-        None
+        let rec = self.record_of(block);
+        let way = self.tags(rec).iter().position(|&t| tag_matches(t, block))?;
+        let tag = std::mem::take(&mut self.words[rec + way]);
+        self.resident -= 1;
+        Some(decode_tag(tag))
     }
 
     /// Number of resident lines.
@@ -471,27 +518,26 @@ impl SetAssocCache {
 
     /// Iterates over all resident lines (test/diagnostic helper).
     pub fn iter_lines(&self) -> impl Iterator<Item = Line> + '_ {
-        self.tags
-            .iter()
-            .filter(|&&t| t & TAG_PRESENT != 0)
-            .map(|&t| decode_tag(t))
+        self.iter_located_lines().map(|(_, _, line)| line)
     }
 
     /// Iterates over all resident lines together with their `(set, way)`
     /// location — lets the correctness harness verify way-mask confinement
     /// (e.g. NIC-origin lines stay inside the DDIO ways).
     pub fn iter_located_lines(&self) -> impl Iterator<Item = (usize, usize, Line)> + '_ {
-        let ways = self.geometry.ways;
-        self.tags
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t & TAG_PRESENT != 0)
-            .map(move |(slot, &t)| (slot / ways, slot % ways, decode_tag(t)))
+        (0..self.sets).flat_map(move |set| {
+            let rec = self.base + set * self.record_words;
+            self.tags(rec)
+                .iter()
+                .enumerate()
+                .filter(|(_, &t)| t & TAG_PRESENT != 0)
+                .map(move |(way, &t)| (set, way, decode_tag(t)))
+        })
     }
 
     /// Drops every resident line without any writeback bookkeeping.
     pub fn flush_all(&mut self) {
-        self.tags.fill(0);
+        self.words.fill(0);
         self.resident = 0;
     }
 }

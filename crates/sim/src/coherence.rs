@@ -14,12 +14,12 @@
 //! # Hot-path implementation
 //!
 //! Every CPU access, NIC injection, and sweep consults the directory, so
-//! [`Directory`] is a flat open-addressed table (linear probing,
-//! backward-shift deletion) keyed by the same Fibonacci multiplicative hash
-//! the caches use for set indexing — one multiply instead of SipHash per
-//! probe, and no per-entry boxing. Sharer sets are returned as [`SharerSet`],
-//! a `Copy` 64-bit mask iterated in place, so no coherence operation
-//! allocates. [`ReferenceDirectory`] preserves the original
+//! [`Directory`] is a flat open-addressed table of 16-byte slots (linear
+//! probing, backward-shift deletion) keyed by the same Fibonacci
+//! multiplicative hash the caches use for set indexing — one multiply
+//! instead of SipHash per probe, and no per-entry boxing. Sharer sets are
+//! returned as [`SharerSet`], a `Copy` 64-bit mask iterated in place, so no
+//! coherence operation allocates. [`ReferenceDirectory`] preserves the original
 //! `HashMap`-backed implementation as the oracle for differential tests.
 
 use std::collections::HashMap;
@@ -135,25 +135,42 @@ impl Iterator for SharerIter {
 
 impl ExactSizeIterator for SharerIter {}
 
-/// One open-addressed table slot. `sharers == 0` marks the slot empty —
+/// One open-addressed table slot, 16 bytes: `[key, sharers]`. The key
+/// packs the block (low [`BLOCK_BITS`] bits) with the dirty owner plus one
+/// above it (0 = no dirty owner). A zero sharer mask marks the slot empty —
 /// valid because the directory removes an entry the moment its last sharer
-/// leaves, so a stored entry always has a nonzero mask.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    block: u64,
-    sharers: u64,
-    dirty_owner: u16,
+/// leaves, so a stored entry always has a nonzero mask — and an empty slot
+/// is all zero, so a fresh table is a zero-filled allocation the OS maps
+/// lazily. (A plain array, not a struct, so `vec!` allocates it zeroed
+/// instead of writing every slot.)
+type Slot = [u64; 2];
+const KEY: usize = 0;
+const SHARERS: usize = 1;
+const EMPTY_SLOT: Slot = [0; 2];
+
+/// Block addresses the directory can key (blocks must be below
+/// `2^BLOCK_BITS`); the bits above hold the dirty owner.
+pub const BLOCK_BITS: u32 = 57;
+const BLOCK_MASK: u64 = (1 << BLOCK_BITS) - 1;
+
+fn slot_block(s: &Slot) -> u64 {
+    s[KEY] & BLOCK_MASK
 }
 
-const NO_OWNER: u16 = u16::MAX;
+fn slot_owner(s: &Slot) -> Option<u16> {
+    match s[KEY] >> BLOCK_BITS {
+        0 => None,
+        owner => Some(owner as u16 - 1),
+    }
+}
 
-const EMPTY_SLOT: Slot = Slot {
-    block: 0,
-    sharers: 0,
-    dirty_owner: NO_OWNER,
-};
+fn set_slot_owner(s: &mut Slot, owner: Option<u16>) {
+    let packed = owner.map_or(0, |c| u64::from(c) + 1);
+    s[KEY] = slot_block(s) | packed << BLOCK_BITS;
+}
 
-/// Initial table capacity (power of two). Grows by doubling at 7/8 load.
+/// Smallest table capacity (power of two). A table grows by doubling at 7/8
+/// load.
 const INITIAL_CAPACITY: usize = 1024;
 
 /// Sparse directory over private-cache residency.
@@ -182,10 +199,24 @@ impl Default for Directory {
 }
 
 impl Directory {
-    /// Creates an empty directory.
+    /// Creates an empty directory that grows as it fills.
     pub fn new() -> Self {
+        Self::with_slots(INITIAL_CAPACITY)
+    }
+
+    /// Creates an empty directory pre-sized for `entries` tracked blocks:
+    /// the power-of-two table that holds them under the 7/8 load limit, so
+    /// it never grows while it tracks at most that many. The memory system
+    /// sizes it by its total private (L2) lines, the most blocks that can be
+    /// privately resident at once. Untouched slots cost no host memory.
+    pub fn with_capacity(entries: usize) -> Self {
+        let slots = (entries * 8).div_ceil(7).next_power_of_two();
+        Self::with_slots(slots.max(INITIAL_CAPACITY))
+    }
+
+    fn with_slots(n: usize) -> Self {
         Self {
-            slots: vec![EMPTY_SLOT; INITIAL_CAPACITY].into_boxed_slice(),
+            slots: vec![EMPTY_SLOT; n].into_boxed_slice(),
             len: 0,
         }
     }
@@ -219,10 +250,10 @@ impl Directory {
         let mut i = self.home(block);
         loop {
             let s = &self.slots[i];
-            if s.sharers == 0 {
+            if s[SHARERS] == 0 {
                 return None;
             }
-            if s.block == block {
+            if slot_block(s) == block {
                 return Some(i);
             }
             i = (i + 1) & mask;
@@ -232,6 +263,10 @@ impl Directory {
     /// Index of `block`'s slot, claiming an empty one if absent. The caller
     /// must leave the slot with a nonzero sharer mask (an all-zero mask
     /// would read as empty and corrupt later probes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot is claimed for a block at or above `2^BLOCK_BITS`.
     #[inline]
     fn find_or_claim(&mut self, block: u64) -> usize {
         // Keep load ≤ 7/8 so probe sequences stay short and one empty slot
@@ -243,13 +278,16 @@ impl Directory {
         let mut i = self.home(block);
         loop {
             let s = &mut self.slots[i];
-            if s.sharers == 0 {
-                s.block = block;
-                s.dirty_owner = NO_OWNER;
+            if s[SHARERS] == 0 {
+                assert!(
+                    block <= BLOCK_MASK,
+                    "block address too large for the directory"
+                );
+                s[KEY] = block;
                 self.len += 1;
                 return i;
             }
-            if s.block == block {
+            if slot_block(s) == block {
                 return i;
             }
             i = (i + 1) & mask;
@@ -260,9 +298,9 @@ impl Directory {
         let doubled = vec![EMPTY_SLOT; self.slots.len() * 2].into_boxed_slice();
         let old = std::mem::replace(&mut self.slots, doubled);
         let mask = self.slots.len() - 1;
-        for s in old.iter().filter(|s| s.sharers != 0) {
-            let mut i = self.home(s.block);
-            while self.slots[i].sharers != 0 {
+        for s in old.iter().filter(|s| s[SHARERS] != 0) {
+            let mut i = self.home(slot_block(s));
+            while self.slots[i][SHARERS] != 0 {
                 i = (i + 1) & mask;
             }
             self.slots[i] = *s;
@@ -278,12 +316,12 @@ impl Directory {
         loop {
             j = (j + 1) & mask;
             let s = self.slots[j];
-            if s.sharers == 0 {
+            if s[SHARERS] == 0 {
                 break;
             }
             // Move `s` into the hole unless its home lies in (i, j] — then
             // the hole does not break its probe chain.
-            let home = self.home(s.block);
+            let home = self.home(slot_block(&s));
             if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
                 self.slots[i] = s;
                 i = j;
@@ -300,7 +338,7 @@ impl Directory {
     pub fn add_sharer(&mut self, block: BlockAddr, core: u16) {
         assert!((core as usize) < MAX_CORES, "core id out of range");
         let i = self.find_or_claim(block.0);
-        self.slots[i].sharers |= 1 << core;
+        self.slots[i][SHARERS] |= 1 << core;
     }
 
     /// Records that `core` no longer holds `block`; clears dirty ownership if
@@ -308,11 +346,11 @@ impl Directory {
     pub fn remove_sharer(&mut self, block: BlockAddr, core: u16) {
         if let Some(i) = self.find(block.0) {
             let s = &mut self.slots[i];
-            s.sharers &= !(1 << core);
-            if s.dirty_owner == core {
-                s.dirty_owner = NO_OWNER;
+            s[SHARERS] &= !(1 << core);
+            if slot_owner(s) == Some(core) {
+                set_slot_owner(s, None);
             }
-            if s.sharers == 0 {
+            if s[SHARERS] == 0 {
                 self.remove_at(i);
             }
         }
@@ -326,31 +364,28 @@ impl Directory {
     pub fn set_dirty_owner(&mut self, block: BlockAddr, core: u16) {
         assert!((core as usize) < MAX_CORES, "core id out of range");
         let i = self.find_or_claim(block.0);
-        self.slots[i].sharers = 1 << core;
-        self.slots[i].dirty_owner = core;
+        self.slots[i][SHARERS] = 1 << core;
+        set_slot_owner(&mut self.slots[i], Some(core));
     }
 
     /// Downgrades a dirty owner to a plain sharer (e.g. after its data was
     /// forwarded or written back).
     pub fn clear_dirty(&mut self, block: BlockAddr) {
         if let Some(i) = self.find(block.0) {
-            self.slots[i].dirty_owner = NO_OWNER;
+            set_slot_owner(&mut self.slots[i], None);
         }
     }
 
     /// The core holding a dirty private copy, if any.
     pub fn dirty_owner(&self, block: BlockAddr) -> Option<u16> {
-        self.find(block.0).and_then(|i| {
-            let owner = self.slots[i].dirty_owner;
-            (owner != NO_OWNER).then_some(owner)
-        })
+        self.find(block.0).and_then(|i| slot_owner(&self.slots[i]))
     }
 
     /// All cores holding the block, ascending.
     pub fn sharers(&self, block: BlockAddr) -> SharerSet {
         match self.find(block.0) {
             None => SharerSet::EMPTY,
-            Some(i) => SharerSet(self.slots[i].sharers),
+            Some(i) => SharerSet(self.slots[i][SHARERS]),
         }
     }
 
@@ -375,7 +410,7 @@ impl Directory {
         match self.find(block.0) {
             None => SharerSet::EMPTY,
             Some(i) => {
-                let sharers = self.slots[i].sharers;
+                let sharers = self.slots[i][SHARERS];
                 self.remove_at(i);
                 SharerSet(sharers)
             }
@@ -391,11 +426,11 @@ impl Directory {
     /// lets the correctness harness cross-check the directory against
     /// actual private-cache residency. Iteration order is unspecified.
     pub fn iter_entries(&self) -> impl Iterator<Item = (BlockAddr, SharerSet, Option<u16>)> + '_ {
-        self.slots.iter().filter(|s| s.sharers != 0).map(|s| {
+        self.slots.iter().filter(|s| s[SHARERS] != 0).map(|s| {
             (
-                BlockAddr(s.block),
-                SharerSet(s.sharers),
-                (s.dirty_owner != NO_OWNER).then_some(s.dirty_owner),
+                BlockAddr(slot_block(s)),
+                SharerSet(s[SHARERS]),
+                slot_owner(s),
             )
         })
     }
@@ -605,6 +640,44 @@ mod tests {
         assert_eq!(d.sharers(BlockAddr(0)).to_vec(), vec![2]);
         assert_eq!(d.drop_block(BlockAddr(0)).to_vec(), vec![2]);
         assert!(!d.any_sharer(BlockAddr(0)));
+    }
+
+    #[test]
+    fn block_at_the_packing_limit_round_trips() {
+        let top = BlockAddr(BLOCK_MASK);
+        let mut d = Directory::new();
+        d.add_sharer(top, 0);
+        d.set_dirty_owner(top, 63);
+        assert_eq!(d.dirty_owner(top), Some(63));
+        assert_eq!(d.sharers(top).to_vec(), vec![63]);
+        assert_eq!(
+            d.iter_entries().collect::<Vec<_>>(),
+            vec![(top, SharerSet::from_mask(1 << 63), Some(63))]
+        );
+        d.clear_dirty(top);
+        assert_eq!(d.dirty_owner(top), None);
+        assert_eq!(d.drop_block(top).to_vec(), vec![63]);
+        assert_eq!(d.tracked_blocks(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "too large for the directory")]
+    fn block_past_the_packing_limit_is_rejected() {
+        Directory::new().add_sharer(BlockAddr(1 << BLOCK_BITS), 0);
+    }
+
+    #[test]
+    fn presized_table_holds_its_entries_without_growing() {
+        // Table I: 24 cores x 20,480 L2 lines.
+        let entries = 24 * 20_480;
+        let mut d = Directory::with_capacity(entries);
+        assert_eq!(d.slots.len(), 1 << 20);
+        for i in 0..entries as u64 {
+            d.add_sharer(BlockAddr(i << 15), (i % 24) as u16);
+        }
+        assert_eq!(d.slots.len(), 1 << 20, "no rehash");
+        assert_eq!(d.tracked_blocks(), entries);
+        assert_eq!(Directory::with_capacity(1).slots.len(), INITIAL_CAPACITY);
     }
 
     #[test]

@@ -332,7 +332,7 @@ impl MemorySystem {
             l2,
             llc: SetAssocCache::with_policy(cfg.llc, cfg.llc_replacement),
             llc_occ: OccupancyCounters::default(),
-            dir: Directory::new(),
+            dir: Directory::with_capacity(cfg.cores * cfg.l2.sets() * cfg.l2.ways),
             dram: Dram::new(cfg.dram),
             stats: MemStats::new(),
             map: AddressMap::new(),

@@ -1,5 +1,6 @@
 //! Property-based tests over the substrate's core data structures:
-//! set-associative cache invariants, coherence-directory bookkeeping,
+//! set-associative cache invariants and replacement order against a naive
+//! model, coherence-directory bookkeeping,
 //! histogram correctness against a naive model, address-map classification,
 //! and DRAM timing monotonicity.
 
@@ -7,7 +8,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sweeper_sim::addr::{blocks_of, Addr, AddressMap, BlockAddr, RegionKind};
-use sweeper_sim::cache::{CacheGeometry, LineOrigin, SetAssocCache, WayMask};
+use sweeper_sim::cache::{
+    CacheGeometry, Evicted, Line, LineOrigin, ReplacementPolicy, SetAssocCache, WayMask,
+};
 use sweeper_sim::coherence::{Directory, ReferenceDirectory};
 use sweeper_sim::dram::{Dram, DramConfig, DramOp};
 use sweeper_sim::stats::Histogram;
@@ -39,7 +42,276 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
     ]
 }
 
+/// One way of the naive replacement model.
+#[derive(Debug, Clone, Copy)]
+struct ModelWay {
+    line: Line,
+    last_touch: u64,
+    rrpv: u8,
+}
+
+/// A naive set-associative cache: per set, a `Vec` of ways, each with the
+/// global time of its last touch (LRU) or its rrpv (SRRIP).
+struct ModelCache {
+    sets: Vec<Vec<Option<ModelWay>>>,
+    policy: ReplacementPolicy,
+    time: u64,
+}
+
+impl ModelCache {
+    fn new(sets: usize, ways: usize, policy: ReplacementPolicy) -> Self {
+        Self {
+            sets: vec![vec![None; ways]; sets],
+            policy,
+            time: 0,
+        }
+    }
+
+    /// The cache's set index: the high bits of a Fibonacci hash.
+    fn set(&mut self, block: u64) -> &mut Vec<Option<ModelWay>> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[((block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % n) as usize]
+    }
+
+    fn find(&mut self, block: u64) -> Option<&mut ModelWay> {
+        self.set(block)
+            .iter_mut()
+            .flatten()
+            .find(|w| w.line.block.0 == block)
+    }
+
+    fn peek(&mut self, block: u64) -> Option<Line> {
+        self.find(block).map(|w| w.line)
+    }
+
+    fn lookup(&mut self, block: u64) -> Option<Line> {
+        self.time += 1;
+        let time = self.time;
+        self.find(block).map(|w| {
+            w.last_touch = time;
+            w.rrpv = 0;
+            w.line
+        })
+    }
+
+    fn mark_dirty(&mut self, block: u64) -> bool {
+        self.find(block).map(|w| w.line.dirty = true).is_some()
+    }
+
+    fn invalidate(&mut self, block: u64) -> Option<Line> {
+        let set = self.set(block);
+        let way = set
+            .iter()
+            .position(|w| w.is_some_and(|w| w.line.block.0 == block))?;
+        set[way].take().map(|w| w.line)
+    }
+
+    fn insert(
+        &mut self,
+        block: u64,
+        dirty: bool,
+        origin: LineOrigin,
+        mask: WayMask,
+    ) -> Option<Evicted> {
+        self.time += 1;
+        let time = self.time;
+        if let Some(w) = self.find(block) {
+            w.line.dirty |= dirty;
+            w.line.origin = origin;
+            w.last_touch = time;
+            w.rrpv = 0;
+            return None;
+        }
+        let policy = self.policy;
+        let set = self.set(block);
+        let allowed: Vec<usize> = (0..set.len()).filter(|&w| mask.allows(w)).collect();
+        let new = ModelWay {
+            line: Line {
+                block: BlockAddr(block),
+                dirty,
+                origin,
+            },
+            last_touch: time,
+            rrpv: if policy == ReplacementPolicy::Srrip {
+                2
+            } else {
+                0
+            },
+        };
+        if let Some(&free) = allowed.iter().find(|&&w| set[w].is_none()) {
+            set[free] = Some(new);
+            return None;
+        }
+        let victim = match policy {
+            ReplacementPolicy::Lru => *allowed
+                .iter()
+                .min_by_key(|&&w| set[w].unwrap().last_touch)
+                .unwrap(),
+            ReplacementPolicy::Srrip => loop {
+                if let Some(&w) = allowed.iter().find(|&&w| set[w].unwrap().rrpv >= 3) {
+                    break w;
+                }
+                for &w in &allowed {
+                    set[w].as_mut().unwrap().rrpv += 1;
+                }
+            },
+        };
+        set[victim].replace(new).map(|w| Evicted { line: w.line })
+    }
+
+    fn lines(&self) -> Vec<Line> {
+        self.sets
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|w| w.line)
+            .collect()
+    }
+}
+
+/// Raw replacement-order operation: `(kind, block, flags, mask bits)`.
+type RawOp = (u8, u64, u8, u64);
+
+/// Replays `ops` on a `sets` x `ways` cache and on [`ModelCache`], and
+/// checks every hit, every evicted line and the final contents agree.
+fn cache_matches_model(
+    sets: usize,
+    ways: usize,
+    policy: ReplacementPolicy,
+    ops: &[RawOp],
+) -> Result<(), TestCaseError> {
+    let geometry = CacheGeometry {
+        size_bytes: (sets * ways) as u64 * 64,
+        ways,
+        latency: 1,
+    };
+    let mut cache = SetAssocCache::with_policy(geometry, policy);
+    let mut model = ModelCache::new(sets, ways, policy);
+    for (n, &(kind, block, flags, bits)) in ops.iter().enumerate() {
+        let b = BlockAddr(block);
+        match kind {
+            0 | 1 => {
+                // Inserts are the most frequent operation so sets stay full.
+                let origin = if flags & 2 != 0 {
+                    LineOrigin::Nic
+                } else {
+                    LineOrigin::Cpu
+                };
+                let mut mask = WayMask(bits & WayMask::first(ways as u32).0);
+                if flags & 4 != 0 || mask.0 == 0 {
+                    mask = WayMask::ALL;
+                }
+                prop_assert_eq!(
+                    cache.insert(b, flags & 1 != 0, origin, mask),
+                    model.insert(block, flags & 1 != 0, origin, mask),
+                    "op {} insert {} under {}",
+                    n,
+                    block,
+                    mask
+                );
+            }
+            2 => prop_assert_eq!(cache.lookup(b), model.lookup(block), "op {} lookup", n),
+            3 => prop_assert_eq!(cache.peek(b), model.peek(block), "op {} peek", n),
+            4 => prop_assert_eq!(
+                cache.invalidate(b),
+                model.invalidate(block),
+                "op {} invalidate",
+                n
+            ),
+            _ => prop_assert_eq!(
+                cache.mark_dirty(b),
+                model.mark_dirty(block),
+                "op {} mark_dirty",
+                n
+            ),
+        }
+    }
+    let mut got: Vec<_> = cache
+        .iter_lines()
+        .map(|l| (l.block.0, l.dirty, l.origin == LineOrigin::Nic))
+        .collect();
+    let mut want: Vec<_> = model
+        .lines()
+        .iter()
+        .map(|l| (l.block.0, l.dirty, l.origin == LineOrigin::Nic))
+        .collect();
+    got.sort_unstable();
+    want.sort_unstable();
+    prop_assert_eq!(cache.resident_lines() as usize, want.len());
+    prop_assert_eq!(got, want);
+    Ok(())
+}
+
+fn raw_ops(blocks: u64, len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<RawOp>> {
+    vec((0u8..6, 0..blocks, any::<u8>(), any::<u64>()), len)
+}
+
+/// Drives `dir` and a [`ReferenceDirectory`] through `ops` and checks they
+/// agree after every step.
+fn directory_matches_hashmap_reference(
+    mut dir: Directory,
+    ops: &[(u64, u16, u8)],
+) -> Result<(), TestCaseError> {
+    let mut reference = ReferenceDirectory::new();
+    for &(block, core, op) in ops {
+        // Spread keys so several share a home slot under the Fibonacci
+        // hash (stride collisions) while others land far apart.
+        let b = BlockAddr(block << (block % 7));
+        match op {
+            0 => {
+                dir.add_sharer(b, core);
+                reference.add_sharer(b, core);
+            }
+            1 => {
+                dir.remove_sharer(b, core);
+                reference.remove_sharer(b, core);
+            }
+            2 => {
+                dir.set_dirty_owner(b, core);
+                reference.set_dirty_owner(b, core);
+            }
+            3 => {
+                dir.clear_dirty(b);
+                reference.clear_dirty(b);
+            }
+            _ => {
+                prop_assert_eq!(dir.drop_block(b).to_vec(), reference.drop_block(b).to_vec());
+            }
+        }
+        prop_assert_eq!(dir.sharers(b).to_vec(), reference.sharers(b).to_vec());
+        prop_assert_eq!(dir.dirty_owner(b), reference.dirty_owner(b));
+        prop_assert_eq!(dir.any_sharer(b), reference.any_sharer(b));
+        prop_assert_eq!(dir.tracked_blocks(), reference.tracked_blocks());
+        for ex in 0..64 {
+            prop_assert_eq!(dir.others(b, ex).to_vec(), reference.others(b, ex).to_vec());
+            prop_assert_eq!(
+                dir.shared_elsewhere(b, ex),
+                reference.shared_elsewhere(b, ex)
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// One 4-way set driven long enough that the per-set LRU clock
+    /// renumbers many times: hits and victims match the naive model.
+    #[test]
+    fn one_set_replacement_order_matches_naive_model(ops in raw_ops(12, 2_000..2_500)) {
+        cache_matches_model(1, 4, ReplacementPolicy::Lru, &ops)?;
+        cache_matches_model(1, 4, ReplacementPolicy::Srrip, &ops)?;
+    }
+
+    /// Several sets at the L2's associativity (a three-line record) and at
+    /// the LLC's (a two-line record), under both policies.
+    #[test]
+    fn multi_set_replacement_order_matches_naive_model(ops in raw_ops(160, 1_000..1_500)) {
+        for ways in [20, 12] {
+            cache_matches_model(3, ways, ReplacementPolicy::Lru, &ops)?;
+            cache_matches_model(3, ways, ReplacementPolicy::Srrip, &ops)?;
+        }
+    }
+
     /// Whatever sequence of operations runs, the cache never exceeds its
     /// capacity, and a block that was just inserted is immediately findable.
     #[test]
@@ -112,7 +384,7 @@ proptest! {
     /// ownership is always one of the sharers.
     #[test]
     fn directory_matches_reference_model(
-        ops in vec((0u64..32, 0u16..8, 0u8..3), 1..300)
+        ops in vec((0u64..32, 0u16..64, 0u8..3), 1..300)
     ) {
         let mut dir = Directory::new();
         let mut model: std::collections::HashMap<u64, std::collections::BTreeSet<u16>> =
@@ -151,52 +423,14 @@ proptest! {
     /// Differential test: the open-addressed [`Directory`] must behave exactly
     /// like the straightforward `HashMap`-backed [`ReferenceDirectory`] under
     /// arbitrary interleavings of every mutating operation, including bulk
-    /// `drop_block` (which exercises backward-shift deletion chains).
+    /// `drop_block` (which exercises backward-shift deletion chains), both
+    /// for a growing table and for a pre-sized one, with every core id.
     #[test]
     fn open_addressed_directory_matches_hashmap_reference(
-        ops in vec((0u64..96, 0u16..12, 0u8..5), 1..400)
+        ops in vec((0u64..96, 0u16..64, 0u8..5), 1..400)
     ) {
-        let mut dir = Directory::new();
-        let mut reference = ReferenceDirectory::new();
-        for (block, core, op) in ops {
-            // Spread keys so several share a home slot under the Fibonacci
-            // hash (stride collisions) while others land far apart.
-            let b = BlockAddr(block << (block % 7));
-            match op {
-                0 => {
-                    dir.add_sharer(b, core);
-                    reference.add_sharer(b, core);
-                }
-                1 => {
-                    dir.remove_sharer(b, core);
-                    reference.remove_sharer(b, core);
-                }
-                2 => {
-                    dir.set_dirty_owner(b, core);
-                    reference.set_dirty_owner(b, core);
-                }
-                3 => {
-                    dir.clear_dirty(b);
-                    reference.clear_dirty(b);
-                }
-                _ => {
-                    prop_assert_eq!(
-                        dir.drop_block(b).to_vec(),
-                        reference.drop_block(b).to_vec()
-                    );
-                }
-            }
-            prop_assert_eq!(dir.sharers(b).to_vec(), reference.sharers(b).to_vec());
-            prop_assert_eq!(dir.dirty_owner(b), reference.dirty_owner(b));
-            prop_assert_eq!(dir.any_sharer(b), reference.any_sharer(b));
-            prop_assert_eq!(dir.tracked_blocks(), reference.tracked_blocks());
-            for ex in 0..12 {
-                prop_assert_eq!(
-                    dir.others(b, ex).to_vec(),
-                    reference.others(b, ex).to_vec()
-                );
-                prop_assert_eq!(dir.shared_elsewhere(b, ex), reference.shared_elsewhere(b, ex));
-            }
+        for dir in [Directory::new(), Directory::with_capacity(5_000)] {
+            directory_matches_hashmap_reference(dir, &ops)?;
         }
     }
 

@@ -103,8 +103,10 @@ pub struct MicaKvs {
     partition_bytes: u64,
     /// Per-core append offsets within their partitions.
     log_heads: Vec<u64>,
-    /// Current log address of each item (index 0 unused; ranks are 1-based).
-    item_addr: Vec<Addr>,
+    /// Log slot + 1 of each item's current entry, or 0 while the item is
+    /// still where populate put it (index 0 unused; ranks are 1-based).
+    /// Zero-filled, so untouched items cost no host memory.
+    item_slot: Vec<u32>,
     zipf: Zipf,
     stats: KvsStats,
 }
@@ -124,8 +126,8 @@ impl MicaKvs {
     ///
     /// # Panics
     ///
-    /// Panics if any size parameter is zero or the log is smaller than one
-    /// item per core.
+    /// Panics if any size parameter is zero, the log is smaller than one
+    /// item per core, or it has 2^32 slots or more.
     pub fn new(cfg: KvsConfig) -> Self {
         assert!(cfg.items > 0 && cfg.buckets > 0, "empty store");
         assert!(cfg.cores > 0, "store needs at least one core");
@@ -135,13 +137,17 @@ impl MicaKvs {
             partition_bytes >= slot,
             "log too small for one item per core"
         );
+        assert!(
+            cfg.cores as u64 * (partition_bytes / slot) < 1 << 32,
+            "log has too many slots for a 32-bit item index"
+        );
         Self {
             zipf: Zipf::new(cfg.items, cfg.zipf_exponent),
             buckets_base: Addr(0),
             log_base: Addr(0),
             partition_bytes,
             log_heads: vec![0; cfg.cores as usize],
-            item_addr: Vec::new(),
+            item_slot: Vec::new(),
             stats: KvsStats::default(),
             cfg,
         }
@@ -170,15 +176,67 @@ impl MicaKvs {
         self.buckets_base.offset((h % self.cfg.buckets) * BLOCK_BYTES)
     }
 
+    /// The first key populate assigns to `core`'s partition.
+    fn first_key(&self, core: u64) -> u64 {
+        if core == 0 {
+            self.cfg.cores as u64
+        } else {
+            core
+        }
+    }
+
+    /// Where populate put `key`. Populate appends keys `1..=items` in order,
+    /// each to partition `key % cores`, so the key is that partition's
+    /// `(key - first) / cores`-th append, wrapped to the partition.
+    fn initial_addr(&self, key: u64) -> Addr {
+        let cores = self.cfg.cores as u64;
+        let core = key % cores;
+        let appends = (key - self.first_key(core)) / cores;
+        let slot = Self::slot_bytes(&self.cfg);
+        self.log_base
+            .offset(self.partition_bytes * core + appends * slot % self.partition_bytes)
+    }
+
+    /// Current log address of `key`.
+    fn item_addr(&self, key: u64) -> Addr {
+        match self.item_slot[key as usize] {
+            0 => self.initial_addr(key),
+            s => self
+                .log_base
+                .offset((u64::from(s) - 1) * Self::slot_bytes(&self.cfg)),
+        }
+    }
+
+    /// Gives every item its initial log location, spread over the
+    /// partitions round-robin, as if loaded before the measurement; leaves
+    /// each log head after its partition's last populated item.
+    fn populate(&mut self) {
+        let cores = self.cfg.cores as u64;
+        let slot = Self::slot_bytes(&self.cfg);
+        self.item_slot = vec![0; self.cfg.items as usize + 1];
+        self.log_heads = (0..cores)
+            .map(|core| {
+                let first = self.first_key(core);
+                let appends = if first > self.cfg.items {
+                    0
+                } else {
+                    (self.cfg.items - first) / cores + 1
+                };
+                appends * slot % self.partition_bytes
+            })
+            .collect();
+    }
+
     /// Appends an item at `core`'s log head and returns its new address.
     fn append(&mut self, core: u16, key: u64) -> Addr {
         let slot = Self::slot_bytes(&self.cfg);
         let part_base = self.partition_bytes * core as u64;
         let head = &mut self.log_heads[core as usize];
-        let addr = self.log_base.offset(part_base + *head);
+        let offset = part_base + *head;
         *head = (*head + slot) % self.partition_bytes;
-        self.item_addr[key as usize] = addr;
-        addr
+        // `new` bounds the slot count below 2^32.
+        self.item_slot[key as usize] = (offset / slot + 1) as u32;
+        self.log_base.offset(offset)
     }
 }
 
@@ -194,13 +252,7 @@ impl Workload for MicaKvs {
         self.log_base = mem
             .address_map_mut()
             .alloc(self.cfg.cores as u64 * self.partition_bytes, RegionKind::App);
-        // Populate: every item gets an initial log location, spread over the
-        // partitions round-robin, as if loaded before the measurement.
-        self.item_addr = vec![Addr(0); self.cfg.items as usize + 1];
-        for key in 1..=self.cfg.items {
-            let core = (key % self.cfg.cores as u64) as u16;
-            self.append(core, key);
-        }
+        self.populate();
     }
 
     fn handle_packet(&mut self, packet: &Packet, env: &mut CoreEnv<'_>) -> TxAction {
@@ -213,7 +265,7 @@ impl Workload for MicaKvs {
             // Parse header + key from the RX buffer.
             env.read(packet.addr, HEADER_BYTES.min(packet.bytes));
             env.read(bucket, BLOCK_BYTES);
-            let item = self.item_addr[key as usize];
+            let item = self.item_addr(key);
             env.read(item, self.cfg.item_bytes);
             TxAction::Reply {
                 bytes: HEADER_BYTES + self.cfg.item_bytes,
@@ -290,7 +342,7 @@ mod tests {
         assert!(mem.address_map().allocated_bytes() >= expected_min);
         // Every item has a live address inside the log region.
         for key in 1..=cfg.items {
-            let a = kvs.item_addr[key as usize];
+            let a = kvs.item_addr(key);
             assert!(a.0 >= kvs.log_base.0);
             assert!(a.0 < kvs.log_base.0 + cfg.cores as u64 * kvs.partition_bytes);
         }
@@ -359,10 +411,10 @@ mod tests {
     #[test]
     fn set_relocates_item_to_core_partition() {
         let (mut kvs, _mem, _) = setup();
-        let old = kvs.item_addr[5];
+        let old = kvs.item_addr(5);
         let new = kvs.append(1, 5);
         assert_ne!(old, new);
-        assert_eq!(kvs.item_addr[5], new);
+        assert_eq!(kvs.item_addr(5), new);
         let part_base = kvs.log_base.0 + kvs.partition_bytes;
         assert!(new.0 >= part_base && new.0 < part_base + kvs.partition_bytes);
     }
@@ -394,6 +446,84 @@ mod tests {
         }
         let second_half = mem.stats().dram_reads.total() - mid;
         assert!(second_half <= mid * 2, "no pathological growth");
+    }
+
+    /// The populate loop the closed form replaced: append every key in
+    /// order to partition `key % cores`. Returns each key's address and the
+    /// final log heads.
+    fn reference_populate(kvs: &MicaKvs) -> (Vec<Addr>, Vec<u64>) {
+        let cfg = kvs.config();
+        let slot = MicaKvs::slot_bytes(cfg);
+        let mut heads = vec![0; cfg.cores as usize];
+        let mut addrs = vec![Addr(0); cfg.items as usize + 1];
+        for key in 1..=cfg.items {
+            let core = key % cfg.cores as u64;
+            let head = &mut heads[core as usize];
+            addrs[key as usize] = kvs.log_base.offset(kvs.partition_bytes * core + *head);
+            *head = (*head + slot) % kvs.partition_bytes;
+        }
+        (addrs, heads)
+    }
+
+    #[test]
+    fn closed_form_placement_matches_the_populate_loop() {
+        let small = KvsConfig::small_for_tests();
+        let configs = [
+            (small, 1),
+            // Odd core count, items not a multiple of it, and a log that
+            // wraps inside every partition.
+            (
+                KvsConfig {
+                    items: 1_001,
+                    cores: 5,
+                    log_bytes: 40 * 1024,
+                    ..small
+                },
+                1,
+            ),
+            // More cores than items: some partitions stay empty.
+            (
+                KvsConfig {
+                    items: 3,
+                    cores: 7,
+                    ..small
+                },
+                1,
+            ),
+            (KvsConfig::paper_default(), 997),
+        ];
+        for (cfg, stride) in configs {
+            let mut mem = MemorySystem::new(MachineConfig::tiny_for_tests());
+            let mut kvs = MicaKvs::new(cfg);
+            kvs.setup(&mut mem);
+            let (addrs, heads) = reference_populate(&kvs);
+            for key in (1..=cfg.items).step_by(stride).chain([cfg.items]) {
+                assert_eq!(kvs.item_addr(key), addrs[key as usize], "{cfg:?} key {key}");
+            }
+            assert_eq!(kvs.log_heads, heads, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "too many slots")]
+    fn rejects_logs_with_2_pow_32_slots() {
+        MicaKvs::new(KvsConfig {
+            item_bytes: 64,
+            log_bytes: 64 << 32,
+            cores: 1,
+            ..KvsConfig::small_for_tests()
+        });
+    }
+
+    #[test]
+    fn largest_32_bit_log_is_accepted() {
+        let kvs = MicaKvs::new(KvsConfig {
+            item_bytes: 64,
+            log_bytes: (64 << 32) - 64,
+            cores: 1,
+            ..KvsConfig::small_for_tests()
+        });
+        assert_eq!(kvs.partition_bytes / 64, (1 << 32) - 1);
     }
 
     #[test]
