@@ -135,9 +135,10 @@ fn bench_sweep_api(c: &mut Criterion) {
     group.bench_function("relinquish_1kb_absent", |bench| {
         bench.iter(|| {
             t += 1_000;
+            // Never allocated, but below the simulated address ceiling.
             black_box(sweeper_core::sweep::relinquish(
                 &mut mem,
-                Addr((1 << 40) + (t % 4096) * 1024),
+                Addr((16 << 30) + (t % 4096) * 1024),
                 1024,
                 t,
             ))

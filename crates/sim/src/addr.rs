@@ -170,6 +170,11 @@ pub struct AddressMap {
 /// [`RegionKind::Other`], which catches uninitialized-address bugs in tests.
 const ALLOC_BASE: u64 = 1 << 30;
 
+/// Simulated byte addresses stay below this ceiling (32 GiB): cache tag
+/// words pack the block address into 29 bits, and
+/// [`AddressMap::alloc`] refuses regions that would end above it.
+pub const ADDR_CEILING: u64 = 1 << 35;
+
 impl AddressMap {
     /// Creates an empty map; every address classifies as
     /// [`RegionKind::Other`].
@@ -185,17 +190,24 @@ impl AddressMap {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is zero.
+    /// Panics if `bytes` is zero or the region would end above
+    /// [`ADDR_CEILING`].
     pub fn alloc(&mut self, bytes: u64, kind: RegionKind) -> Addr {
         assert!(bytes > 0, "cannot allocate an empty region");
-        let len = bytes.div_ceil(BLOCK_BYTES) * BLOCK_BYTES;
         let start = self.next;
-        self.next += len;
-        self.regions.push(Region {
-            start,
-            end: start + len,
-            kind,
-        });
+        let end = bytes
+            .div_ceil(BLOCK_BYTES)
+            .checked_mul(BLOCK_BYTES)
+            .and_then(|len| start.checked_add(len))
+            .filter(|&end| end <= ADDR_CEILING)
+            .unwrap_or_else(|| {
+                panic!(
+                    "a {bytes}-byte region at {start:#x} would end above the {} GiB simulated address ceiling",
+                    ADDR_CEILING >> 30
+                )
+            });
+        self.next = end;
+        self.regions.push(Region { start, end, kind });
         Addr(start)
     }
 
@@ -324,6 +336,31 @@ mod tests {
     #[should_panic(expected = "empty region")]
     fn alloc_zero_panics() {
         AddressMap::new().alloc(0, RegionKind::App);
+    }
+
+    #[test]
+    fn alloc_may_end_exactly_at_the_ceiling() {
+        let mut map = AddressMap::new();
+        let a = map.alloc(ADDR_CEILING - ALLOC_BASE, RegionKind::App);
+        assert_eq!(a, Addr(ALLOC_BASE));
+        let last = Addr(ADDR_CEILING - 1);
+        assert_eq!(map.classify(last), RegionKind::App);
+        assert_eq!(map.allocated_bytes(), ADDR_CEILING - ALLOC_BASE);
+    }
+
+    #[test]
+    #[should_panic(expected = "above the 32 GiB simulated address ceiling")]
+    fn alloc_crossing_the_ceiling_panics() {
+        let mut map = AddressMap::new();
+        map.alloc(ADDR_CEILING - ALLOC_BASE - BLOCK_BYTES, RegionKind::App);
+        // One block fits; a partial second block rounds up past the ceiling.
+        map.alloc(BLOCK_BYTES + 1, RegionKind::App);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated address ceiling")]
+    fn alloc_of_u64_max_bytes_panics_without_overflow() {
+        AddressMap::new().alloc(u64::MAX, RegionKind::App);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 
 use std::fmt;
 
-use crate::addr::BlockAddr;
+use crate::addr::{BlockAddr, ADDR_CEILING};
+use crate::zeroed::ZeroedTable;
 
 /// A bitmask over cache ways; bit `i` set means way `i` may be allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,24 +146,31 @@ impl CacheGeometry {
 /// bit 0      present (0 = empty way; an all-zero word is an empty way)
 /// bit 1      dirty
 /// bit 2      origin (0 = Cpu, 1 = Nic)
-/// bits 3..   block address
+/// bits 3..32 block address (below `BLOCK_LIMIT`)
 /// ```
 ///
-/// Packing the residency scan's entire decision state into one `u64` per way
-/// keeps a set probe inside one or two host cache lines; the 32-byte
-/// `Option<Line>`-plus-LRU slots this replaces spread a 12-way probe across
-/// six.
-const TAG_PRESENT: u64 = 1;
-const TAG_DIRTY: u64 = 1 << 1;
-const TAG_NIC: u64 = 1 << 2;
+/// Packing the residency scan's entire decision state into one `u32` per way
+/// keeps a set probe inside one host cache line for a 12-way cache and two
+/// for a 20-way one; the 32-byte `Option<Line>`-plus-LRU slots this replaces
+/// spread a 12-way probe across six.
+const TAG_PRESENT: u32 = 1;
+const TAG_DIRTY: u32 = 1 << 1;
+const TAG_NIC: u32 = 1 << 2;
 const TAG_FLAG_BITS: u32 = 3;
 
-fn encode_tag(block: BlockAddr, dirty: bool, origin: LineOrigin) -> u64 {
-    debug_assert!(
-        block.0 < 1 << (64 - TAG_FLAG_BITS),
-        "block address too large to pack"
+/// Blocks a tag word can hold: those below the simulated address ceiling.
+pub const BLOCK_LIMIT: u64 = ADDR_CEILING / crate::BLOCK_BYTES;
+const _: () = assert!(BLOCK_LIMIT == 1 << (u32::BITS - TAG_FLAG_BITS));
+
+/// # Panics
+///
+/// Panics if `block` is not below [`BLOCK_LIMIT`].
+fn encode_tag(block: BlockAddr, dirty: bool, origin: LineOrigin) -> u32 {
+    assert!(
+        block.0 < BLOCK_LIMIT,
+        "block address too large to pack into a cache tag"
     );
-    (block.0 << TAG_FLAG_BITS)
+    ((block.0 as u32) << TAG_FLAG_BITS)
         | (if origin == LineOrigin::Nic {
             TAG_NIC
         } else {
@@ -172,9 +180,9 @@ fn encode_tag(block: BlockAddr, dirty: bool, origin: LineOrigin) -> u64 {
         | TAG_PRESENT
 }
 
-fn decode_tag(tag: u64) -> Line {
+fn decode_tag(tag: u32) -> Line {
     Line {
-        block: BlockAddr(tag >> TAG_FLAG_BITS),
+        block: BlockAddr(u64::from(tag >> TAG_FLAG_BITS)),
         dirty: tag & TAG_DIRTY != 0,
         origin: if tag & TAG_NIC != 0 {
             LineOrigin::Nic
@@ -184,12 +192,16 @@ fn decode_tag(tag: u64) -> Line {
     }
 }
 
-fn tag_matches(tag: u64, block: BlockAddr) -> bool {
-    tag & TAG_PRESENT != 0 && tag >> TAG_FLAG_BITS == block.0
+/// Whether `tag` holds `block`. Compared in 64 bits, so a block at or above
+/// [`BLOCK_LIMIT`] (which no tag can hold) never matches.
+fn tag_matches(tag: u32, block: BlockAddr) -> bool {
+    tag & TAG_PRESENT != 0 && u64::from(tag >> TAG_FLAG_BITS) == block.0
 }
 
-/// `u64` words per host cache line; set records are whole lines.
-const LINE_WORDS: usize = 8;
+/// `u32` words per host cache line; set records are whole lines.
+const LINE_WORDS: usize = 16;
+/// Replacement bytes per `u32` word.
+const WORD_BYTES: usize = 4;
 
 /// SRRIP re-reference predictions: inserted lines start at `SRRIP_INSERT`,
 /// hits promote to 0, and `SRRIP_DISTANT` marks a victim.
@@ -199,11 +211,11 @@ const SRRIP_DISTANT: u8 = 3;
 /// A single set-associative cache level with LRU replacement.
 ///
 /// Each set is one record of whole host cache lines, 64-byte aligned, so a
-/// probe touches only that set's lines (two for the 12-way LLC, three for a
-/// 20-way L2):
+/// probe touches only that set's lines (one for the 12-way LLC and L1, two
+/// for the 20-way L2):
 ///
 /// ```text
-/// words 0..ways     packed tag words (see `encode_tag`)
+/// words 0..ways     packed `u32` tag words (see `encode_tag`)
 /// next ways bytes   one replacement byte per way
 /// next byte         the set's LRU clock
 /// ```
@@ -213,8 +225,11 @@ const SRRIP_DISTANT: u8 = 3;
 /// their current order, so victim selection — which only compares occupied
 /// ways, each stamped at its last touch — picks the way a global tick
 /// would. Under SRRIP the byte is the way's rrpv. An all-zero record is an
-/// empty set, so the table is a zero-filled allocation whose pages the OS
-/// maps only when a set is first touched.
+/// empty set, so the table is a [`ZeroedTable`] whose pages the OS maps
+/// only when a set is first touched.
+///
+/// Blocks must be below [`BLOCK_LIMIT`] (byte addresses below
+/// [`ADDR_CEILING`]); inserting a larger one panics.
 ///
 /// ```
 /// use sweeper_sim::cache::{CacheGeometry, LineOrigin, SetAssocCache, WayMask};
@@ -230,8 +245,7 @@ pub struct SetAssocCache {
     geometry: CacheGeometry,
     sets: usize,
     record_words: usize,
-    base: usize,     // index of set 0's record in `words` (64-byte aligned, except in clones)
-    words: Vec<u64>, // zero-filled; `sets` records from `base` on
+    words: ZeroedTable<u32>, // `sets` records, set 0 at index 0
     resident: u64,
     policy: ReplacementPolicy,
 }
@@ -259,16 +273,12 @@ impl SetAssocCache {
         );
         let sets = geometry.sets();
         let ways = geometry.ways;
-        let record_words = (ways + (ways + 1).div_ceil(8)).next_multiple_of(LINE_WORDS);
-        // One spare line of slack lets set 0 start on a line boundary.
-        let words = vec![0u64; sets * record_words + LINE_WORDS - 1];
-        let base = (words.as_ptr() as usize).wrapping_neg() % 64 / 8;
+        let record_words = (ways + (ways + 1).div_ceil(WORD_BYTES)).next_multiple_of(LINE_WORDS);
         Self {
             geometry,
             sets,
             record_words,
-            base,
-            words,
+            words: ZeroedTable::new(sets * record_words),
             resident: 0,
             policy,
         }
@@ -303,24 +313,24 @@ impl SetAssocCache {
     /// Index of the first word of `block`'s set record.
     #[inline]
     fn record_of(&self, block: BlockAddr) -> usize {
-        self.base + self.set_of(block) * self.record_words
+        self.set_of(block) * self.record_words
     }
 
-    fn tags(&self, rec: usize) -> &[u64] {
+    fn tags(&self, rec: usize) -> &[u32] {
         &self.words[rec..rec + self.geometry.ways]
     }
 
     /// Replacement byte `k` of the record at `rec`; `k == ways` is the clock.
     #[inline]
     fn byte(&self, rec: usize, k: usize) -> u8 {
-        (self.words[rec + self.geometry.ways + k / 8] >> (k % 8 * 8)) as u8
+        (self.words[rec + self.geometry.ways + k / WORD_BYTES] >> (k % WORD_BYTES * 8)) as u8
     }
 
     #[inline]
     fn set_byte(&mut self, rec: usize, k: usize, v: u8) {
-        let shift = k % 8 * 8;
-        let w = &mut self.words[rec + self.geometry.ways + k / 8];
-        *w = *w & !(0xFF << shift) | u64::from(v) << shift;
+        let shift = k % WORD_BYTES * 8;
+        let w = &mut self.words[rec + self.geometry.ways + k / WORD_BYTES];
+        *w = *w & !(0xFF << shift) | u32::from(v) << shift;
     }
 
     /// Makes `way` the set's most recently used way.
@@ -426,7 +436,8 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if `mask` allows none of this cache's ways.
+    /// Panics if `mask` allows none of this cache's ways, or if `block` is
+    /// not below [`BLOCK_LIMIT`].
     pub fn insert(
         &mut self,
         block: BlockAddr,
@@ -526,7 +537,7 @@ impl SetAssocCache {
     /// (e.g. NIC-origin lines stay inside the DDIO ways).
     pub fn iter_located_lines(&self) -> impl Iterator<Item = (usize, usize, Line)> + '_ {
         (0..self.sets).flat_map(move |set| {
-            let rec = self.base + set * self.record_words;
+            let rec = set * self.record_words;
             self.tags(rec)
                 .iter()
                 .enumerate()
@@ -537,7 +548,7 @@ impl SetAssocCache {
 
     /// Drops every resident line without any writeback bookkeeping.
     pub fn flush_all(&mut self) {
-        self.words.fill(0);
+        self.words = ZeroedTable::new(self.words.len());
         self.resident = 0;
     }
 }
@@ -748,6 +759,92 @@ mod tests {
             assert!(c.resident_lines() <= 16);
         }
         assert_eq!(c.policy(), ReplacementPolicy::Srrip);
+    }
+
+    #[test]
+    fn records_are_whole_lines() {
+        let record_bytes = |ways| {
+            let c = SetAssocCache::new(CacheGeometry {
+                size_bytes: 8 * ways as u64 * crate::BLOCK_BYTES,
+                ways,
+                latency: 1,
+            });
+            c.record_words * 4
+        };
+        // 12 tags + 13 bytes = 61 B; 20 tags + 21 bytes = 101 B;
+        // 64 tags + 65 bytes = 321 B.
+        assert_eq!(record_bytes(12), 64);
+        assert_eq!(record_bytes(20), 128);
+        assert_eq!(record_bytes(4), 64);
+        assert_eq!(record_bytes(64), 384);
+    }
+
+    /// The `n` largest packable blocks that share a set with the largest.
+    fn full_set_at_the_limit(c: &SetAssocCache, n: usize) -> Vec<BlockAddr> {
+        let target = c.set_of(BlockAddr(BLOCK_LIMIT - 1));
+        let blocks: Vec<BlockAddr> = (0..BLOCK_LIMIT)
+            .rev()
+            .map(BlockAddr)
+            .filter(|b| c.set_of(*b) == target)
+            .take(n)
+            .collect();
+        assert_eq!(blocks[0], BlockAddr(BLOCK_LIMIT - 1));
+        blocks
+    }
+
+    #[test]
+    fn largest_packable_block_round_trips() {
+        let mut c = small();
+        let blocks = full_set_at_the_limit(&c, 5);
+        let top = blocks[0];
+        let line = Line {
+            block: top,
+            dirty: true,
+            origin: LineOrigin::Nic,
+        };
+        assert!(c.insert(top, true, LineOrigin::Nic, WayMask::ALL).is_none());
+        assert_eq!(c.peek(top), Some(line));
+        assert_eq!(c.iter_lines().collect::<Vec<_>>(), vec![line]);
+        for &b in &blocks[1..4] {
+            assert!(c.insert(b, false, LineOrigin::Cpu, WayMask::ALL).is_none());
+        }
+        // The set is full and `top` is its least recently used line.
+        let ev = c.insert(blocks[4], false, LineOrigin::Cpu, WayMask::ALL);
+        assert_eq!(ev, Some(Evicted { line }));
+        assert_eq!(c.peek(top), None);
+    }
+
+    #[test]
+    fn blocks_past_the_limit_are_never_found() {
+        let mut c = small();
+        c.insert(BlockAddr(5), true, LineOrigin::Cpu, WayMask::ALL);
+        // Same low 29 bits as block 5: must not alias it.
+        let alias = BlockAddr(BLOCK_LIMIT + 5);
+        assert!(c.peek(alias).is_none());
+        assert!(c.invalidate(alias).is_none());
+        assert!(!c.mark_dirty(alias));
+    }
+
+    #[test]
+    #[should_panic(expected = "too large to pack")]
+    fn block_past_the_limit_panics_on_insert() {
+        small().insert(BlockAddr(BLOCK_LIMIT), false, LineOrigin::Cpu, WayMask::ALL);
+    }
+
+    #[test]
+    fn flush_all_leaves_an_empty_cache() {
+        let mut c = small();
+        for i in 0..64u64 {
+            c.insert(BlockAddr(i), true, LineOrigin::Nic, WayMask::ALL);
+        }
+        c.flush_all();
+        assert_eq!(c.iter_lines().count(), 0);
+        let blocks = same_set_blocks(&c, 5);
+        for &b in &blocks[..4] {
+            assert!(c.insert(b, false, LineOrigin::Cpu, WayMask::ALL).is_none());
+        }
+        let ev = c.insert(blocks[4], false, LineOrigin::Cpu, WayMask::ALL);
+        assert_eq!(ev.map(|e| e.line.block), Some(blocks[0]));
     }
 
     #[test]

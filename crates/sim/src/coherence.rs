@@ -25,6 +25,7 @@
 use std::collections::HashMap;
 
 use crate::addr::BlockAddr;
+use crate::zeroed::ZeroedTable;
 
 /// Maximum cores a sharer bitmask supports.
 pub const MAX_CORES: usize = 64;
@@ -140,9 +141,8 @@ impl ExactSizeIterator for SharerIter {}
 /// above it (0 = no dirty owner). A zero sharer mask marks the slot empty —
 /// valid because the directory removes an entry the moment its last sharer
 /// leaves, so a stored entry always has a nonzero mask — and an empty slot
-/// is all zero, so a fresh table is a zero-filled allocation the OS maps
-/// lazily. (A plain array, not a struct, so `vec!` allocates it zeroed
-/// instead of writing every slot.)
+/// is all zero, so a fresh table is a [`ZeroedTable`] the OS maps lazily.
+/// (A plain array, not a struct, so it is a table element type.)
 type Slot = [u64; 2];
 const KEY: usize = 0;
 const SHARERS: usize = 1;
@@ -188,7 +188,7 @@ const INITIAL_CAPACITY: usize = 1024;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Directory {
-    slots: Box<[Slot]>,
+    slots: ZeroedTable<Slot>,
     len: usize,
 }
 
@@ -216,7 +216,7 @@ impl Directory {
 
     fn with_slots(n: usize) -> Self {
         Self {
-            slots: vec![EMPTY_SLOT; n].into_boxed_slice(),
+            slots: ZeroedTable::new(n),
             len: 0,
         }
     }
@@ -235,6 +235,8 @@ impl Directory {
     pub fn prefetch(&self, block: BlockAddr) {
         let i = self.home(block.0);
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `_mm_prefetch` is a hint that never faults, and `i` is
+        // masked to the table, so the pointer stays inside it.
         unsafe {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
             _mm_prefetch(self.slots.as_ptr().add(i).cast::<i8>(), _MM_HINT_T0);
@@ -295,7 +297,7 @@ impl Directory {
     }
 
     fn grow(&mut self) {
-        let doubled = vec![EMPTY_SLOT; self.slots.len() * 2].into_boxed_slice();
+        let doubled = ZeroedTable::new(self.slots.len() * 2);
         let old = std::mem::replace(&mut self.slots, doubled);
         let mask = self.slots.len() - 1;
         for s in old.iter().filter(|s| s[SHARERS] != 0) {

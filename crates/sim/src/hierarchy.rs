@@ -1837,6 +1837,59 @@ mod tests {
         mem.cpu_read(99, Addr(0), 64, 0);
     }
 
+    /// NIC deliveries, reads and writes from every core, and sweeps over a
+    /// Table I machine; returns every access's outcome.
+    fn drive_traffic(mem: &mut MemorySystem) -> Vec<Access> {
+        let rx = rx_region(mem, 4 << 20);
+        let app = mem.address_map_mut().alloc(8 << 20, RegionKind::App);
+        let mut out = Vec::new();
+        for i in 0..4_000u64 {
+            let core = (i % 24) as u16;
+            let pkt = rx.offset(i * 1024 % (4 << 20));
+            let now = i * 1_000;
+            mem.nic_write(pkt, 1024, now);
+            out.push(mem.cpu_read(core, pkt, 1024, now + 100));
+            let data = app.offset(i.wrapping_mul(0x9E37_79B9) % (8 << 20) / 64 * 64);
+            out.push(mem.cpu_write(core, data, 128, now + 200));
+            if i % 2 == 0 {
+                mem.sweep_range(pkt, 1024, now + 300);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_machine_built_after_a_dropped_one_starts_empty() {
+        let mut first = MemorySystem::new(MachineConfig::paper_default());
+        let outcomes = drive_traffic(&mut first);
+        assert!(first.llc().resident_lines() > 0 && first.dir.tracked_blocks() > 0);
+        drop(first);
+
+        let mut second = MemorySystem::new(MachineConfig::paper_default());
+        // Scan the tables, not just the counters: recycled memory would
+        // show as stale lines and directory entries.
+        for core in second.cores() {
+            for cache in [second.l1_of(core), second.l2_of(core)] {
+                assert_eq!(cache.resident_lines(), 0);
+                assert_eq!(cache.iter_lines().count(), 0, "core {core}");
+            }
+        }
+        assert_eq!(second.llc().resident_lines(), 0);
+        assert_eq!(second.llc().iter_lines().count(), 0);
+        assert_eq!(second.dir.tracked_blocks(), 0);
+        assert_eq!(second.dir.iter_entries().count(), 0);
+        assert_eq!(drive_traffic(&mut second), outcomes);
+    }
+
+    #[test]
+    fn a_cloned_machine_evolves_like_the_original() {
+        let mut a = MemorySystem::new(MachineConfig::paper_default());
+        drive_traffic(&mut a);
+        let mut b = a.clone();
+        assert_eq!(drive_traffic(&mut a), drive_traffic(&mut b));
+        assert_eq!(a.llc().iter_lines().count(), b.llc().iter_lines().count());
+    }
+
     #[test]
     #[should_panic(expected = "DDIO ways must be within LLC associativity")]
     fn rejects_bad_ddio_ways() {

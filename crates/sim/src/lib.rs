@@ -21,7 +21,9 @@
 //!   a trace id, a hierarchical cycle-attribution profile, and the
 //!   Perfetto-compatible export built on them,
 //! * a [correctness harness](check) — a shadow-memory oracle plus on-demand
-//!   hierarchy invariant walks, off by default at one branch per hook.
+//!   hierarchy invariant walks, off by default at one branch per hook,
+//! * [zero-filled tables](zeroed) on fresh, lazily faulted pages, which
+//!   back the caches, the directory and the KVS index.
 //!
 //! # Example
 //!
@@ -52,6 +54,7 @@ pub mod span;
 pub mod stats;
 pub mod telemetry;
 pub mod trace;
+pub mod zeroed;
 
 /// Simulation time, measured in CPU cycles.
 ///

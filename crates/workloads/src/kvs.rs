@@ -22,6 +22,7 @@ use sweeper_core::workload::{CoreEnv, TxAction, Workload};
 use sweeper_nic::packet::Packet;
 use sweeper_sim::addr::{Addr, RegionKind};
 use sweeper_sim::hierarchy::MemorySystem;
+use sweeper_sim::zeroed::ZeroedTable;
 use sweeper_sim::Cycle;
 use sweeper_sim::BLOCK_BYTES;
 
@@ -106,7 +107,7 @@ pub struct MicaKvs {
     /// Log slot + 1 of each item's current entry, or 0 while the item is
     /// still where populate put it (index 0 unused; ranks are 1-based).
     /// Zero-filled, so untouched items cost no host memory.
-    item_slot: Vec<u32>,
+    item_slot: ZeroedTable<u32>,
     zipf: Zipf,
     stats: KvsStats,
 }
@@ -147,7 +148,7 @@ impl MicaKvs {
             log_base: Addr(0),
             partition_bytes,
             log_heads: vec![0; cfg.cores as usize],
-            item_slot: Vec::new(),
+            item_slot: ZeroedTable::default(),
             stats: KvsStats::default(),
             cfg,
         }
@@ -213,7 +214,7 @@ impl MicaKvs {
     fn populate(&mut self) {
         let cores = self.cfg.cores as u64;
         let slot = Self::slot_bytes(&self.cfg);
-        self.item_slot = vec![0; self.cfg.items as usize + 1];
+        self.item_slot = ZeroedTable::new(self.cfg.items as usize + 1);
         self.log_heads = (0..cores)
             .map(|core| {
                 let first = self.first_key(core);
@@ -502,6 +503,29 @@ mod tests {
             }
             assert_eq!(kvs.log_heads, heads, "{cfg:?}");
         }
+    }
+
+    #[test]
+    fn a_store_built_after_a_mutated_one_starts_at_populate() {
+        let cfg = KvsConfig::paper_default();
+        let mut mem = MemorySystem::new(MachineConfig::tiny_for_tests());
+        let mut first = MicaKvs::new(cfg);
+        first.setup(&mut mem);
+        // Relocate every 7th item, so its index entry is nonzero.
+        for key in (1..=cfg.items).step_by(7) {
+            first.append((key % 24) as u16, key);
+        }
+        assert_ne!(first.item_slot[1], 0);
+        drop(first);
+
+        let mut mem = MemorySystem::new(MachineConfig::tiny_for_tests());
+        let mut second = MicaKvs::new(cfg);
+        second.setup(&mut mem);
+        let (addrs, _) = reference_populate(&second);
+        for key in (1..=cfg.items).step_by(499).chain([cfg.items]) {
+            assert_eq!(second.item_addr(key), addrs[key as usize], "key {key}");
+        }
+        assert!(second.item_slot.iter().all(|&s| s == 0));
     }
 
     #[test]
